@@ -13,7 +13,7 @@
 // Scenario model: a four-district mobile city. Districts are 4.5 km-wide
 // random-waypoint strips separated by 1.1 km of empty ground — wider than
 // carrier-sense range, so the shard territories are decoupled and the
-// lookahead barrier runs at shard_max_epoch (the cheap regime sharding
+// lookahead barrier runs at kShardMaxEpoch (the cheap regime sharding
 // targets; tightly coupled shards are exercised by tests/test_shard.cc,
 // not measured here). Density is ~25 nodes/km² (≈5 rx-range neighbors, so
 // AODV actually finds multi-hop routes); Muzha flows with router

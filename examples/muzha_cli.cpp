@@ -7,6 +7,12 @@
 //
 // One flow is created per comma-separated variant, all sharing the
 // first-to-last path (chain) or the two arms (cross, first two variants).
+//
+// Malformed or out-of-range values are rejected before anything runs: the
+// program prints a message naming the flag and exits with status 2.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +46,38 @@ bool parse_variant(const std::string& s, TcpVariant* out) {
     }
   }
   return false;
+}
+
+[[noreturn]] void reject(const char* flag, const char* expected,
+                         const char* got) {
+  std::fprintf(stderr, "muzha_cli: %s: expected %s, got '%s'\n", flag,
+               expected, got);
+  std::exit(2);
+}
+
+// The whole of `text` as a base-10 integer in [lo, hi], else reject().
+long long int_flag(const char* flag, const char* text, long long lo,
+                   long long hi, const char* expected) {
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    reject(flag, expected, text);
+  }
+  return v;
+}
+
+// The whole of `text` as a finite number in [lo, hi], else reject().
+double real_flag(const char* flag, const char* text, double lo, double hi,
+                 const char* expected) {
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < lo || v > hi) {
+    reject(flag, expected, text);
+  }
+  return v;
 }
 
 void usage(const char* prog) {
@@ -79,25 +117,36 @@ int main(int argc, char** argv) {
       while (std::getline(ss, tok, ',')) {
         TcpVariant v;
         if (!parse_variant(tok, &v)) {
-          std::fprintf(stderr, "unknown variant '%s'\n", tok.c_str());
-          return 2;
+          reject("--variant", "a comma-separated list of variants",
+                 tok.c_str());
         }
         variants.push_back(v);
       }
     } else if (arg == "--topology") {
-      std::string t = next();
-      cfg.topology =
-          t == "cross" ? TopologyKind::kCross : TopologyKind::kChain;
+      const char* t = next();
+      if (std::strcmp(t, "chain") == 0) {
+        cfg.topology = TopologyKind::kChain;
+      } else if (std::strcmp(t, "cross") == 0) {
+        cfg.topology = TopologyKind::kCross;
+      } else {
+        reject("--topology", "chain or cross", t);
+      }
     } else if (arg == "--hops") {
-      cfg.hops = std::atoi(next());
+      cfg.hops = static_cast<int>(
+          int_flag("--hops", next(), 1, INT_MAX, "an integer >= 1"));
     } else if (arg == "--window") {
-      window = std::atoi(next());
+      window = static_cast<int>(
+          int_flag("--window", next(), 1, INT_MAX, "an integer >= 1"));
     } else if (arg == "--duration") {
-      cfg.duration = SimTime::from_seconds(std::atof(next()));
+      // SimTime counts whole nanoseconds in an int64.
+      cfg.duration = SimTime::from_seconds(real_flag(
+          "--duration", next(), 1e-9, 9e9, "seconds in [1e-9, 9e9]"));
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      cfg.seed = static_cast<std::uint64_t>(
+          int_flag("--seed", next(), 0, LLONG_MAX, "an integer >= 0"));
     } else if (arg == "--loss") {
-      cfg.uniform_error_rate = std::atof(next());
+      cfg.uniform_error_rate =
+          real_flag("--loss", next(), 0.0, 1.0, "a probability in [0, 1]");
     } else if (arg == "--static-routing") {
       cfg.static_routing = true;
     } else if (arg == "--csv") {
@@ -111,6 +160,10 @@ int main(int argc, char** argv) {
   if (variants.empty()) {
     usage(argv[0]);
     return 2;
+  }
+  if (cfg.topology == TopologyKind::kCross && cfg.hops % 2 != 0) {
+    reject("--hops", "an even count for the cross topology",
+           std::to_string(cfg.hops).c_str());
   }
 
   // Flow placement: chain => all flows end-to-end; cross => first flow on

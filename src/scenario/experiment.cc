@@ -1,29 +1,20 @@
 #include "scenario/experiment.h"
 
-#include <deque>
+#include <memory>
 
-#include "app/cbr.h"
 #include "core/tcp_muzha.h"
 #include "net/node.h"
-#include "phy/channel.h"
-#include "phy/error_model.h"
-#include "pkt/packet.h"
 #include "relwork/adtcp.h"
 #include "relwork/ecn.h"
 #include "relwork/tcp_door.h"
 #include "relwork/tcp_jersey.h"
 #include "relwork/tcp_rovegas.h"
 #include "relwork/tcp_westwood.h"
-#include "scenario/city.h"
-#include "scenario/mobility.h"
-#include "scenario/network.h"
 #include "scenario/sharded_experiment.h"
-#include "sim/assert.h"
+#include "scenario/world.h"
 #include "sim/simulator.h"
 #include "sim/units.h"
-#include "stats/time_series.h"
 #include "tcp/tcp_agent.h"
-#include "tcp/tcp_sink.h"
 #include "tcp/tcp_variants.h"
 #include "tcp/tcp_vegas.h"
 
@@ -103,234 +94,11 @@ std::vector<double> ExperimentResult::flow_throughputs() const {
   return out;
 }
 
-namespace {
-
-// Fills every node's static table with BFS shortest-path next hops over the
-// 250 m connectivity graph.
-void install_static_routes(Network& net) {
-  const std::size_t n = net.size();
-  Meters rx_range = net.channel().params().rx_range;
-  // Adjacency from positions.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      Meters d = distance(net.node(i).device().phy().position(),
-                          net.node(j).device().phy().position());
-      if (d <= rx_range) {
-        adj[i].push_back(j);
-        adj[j].push_back(i);
-      }
-    }
-  }
-  // BFS from every destination; predecessor hop toward dst becomes the next
-  // hop in each node's table.
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    std::vector<std::size_t> next(n, SIZE_MAX);
-    std::vector<bool> seen(n, false);
-    std::deque<std::size_t> q{dst};
-    seen[dst] = true;
-    while (!q.empty()) {
-      std::size_t u = q.front();
-      q.pop_front();
-      for (std::size_t v : adj[u]) {
-        if (seen[v]) continue;
-        seen[v] = true;
-        next[v] = u;  // v's next hop toward dst is u
-        q.push_back(v);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == dst || next[i] == SIZE_MAX) continue;
-      net.static_routing(i).add_route(net.node(dst).id(),
-                                      net.node(next[i]).id());
-    }
-  }
-}
-
-}  // namespace
-
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.shards != 1) return run_sharded_experiment(cfg);
-  MUZHA_ASSERT(!cfg.flows.empty(), "experiment needs at least one flow");
-  Network net(cfg.seed, {}, {},
-              cfg.brute_force_channel ? ChannelMode::kBruteForce
-                                      : ChannelMode::kSpatialIndex);
-
-  // Topology.
-  switch (cfg.topology) {
-    case TopologyKind::kChain:
-      build_chain(net, cfg.hops);
-      break;
-    case TopologyKind::kCross:
-      build_cross(net, cfg.hops);
-      break;
-    case TopologyKind::kRandomField:
-      build_random_field(net, cfg.field);
-      break;
-    case TopologyKind::kManhattanGrid:
-      build_manhattan_field(net, cfg.field);
-      break;
-  }
-
-  // Random-waypoint motion over the node's district rectangle (the whole
-  // field when districts == 1 — identical config values to the pre-district
-  // code, so the draw sequence is unchanged).
-  std::vector<std::unique_ptr<RandomWaypointMobility>> mobility;
-  if ((cfg.topology == TopologyKind::kRandomField ||
-       cfg.topology == TopologyKind::kManhattanGrid) &&
-      cfg.field.mobile) {
-    mobility.reserve(net.size());
-    for (std::size_t i = 0; i < net.size(); ++i) {
-      Rect r = district_rect(cfg.field, district_of(cfg.field, i));
-      RandomWaypointMobility::Config mc;
-      mc.min_x = r.x0;
-      mc.max_x = r.x1;
-      mc.min_y = r.y0;
-      mc.max_y = r.y1;
-      mc.min_speed = cfg.field.min_speed;
-      mc.max_speed = cfg.field.max_speed;
-      mc.pause = cfg.field.pause;
-      mc.tick = cfg.field.mobility_tick;
-      mobility.push_back(std::make_unique<RandomWaypointMobility>(
-          net.sim(), net.node(i), mc));
-      mobility.back()->start();
-    }
-  }
-
-  // Routing.
-  if (cfg.static_routing) {
-    net.use_static_routing();
-    install_static_routes(net);
-  } else {
-    net.use_aodv();
-  }
-
-  // Router assistance: Muzha needs DRAI stamping; Jersey needs the router
-  // congestion-warning marks that the same estimator produces; NewReno+ECN
-  // needs RED/ECN markers instead (single-bit).
-  bool any_router_assisted = false;
-  bool any_ecn = false;
-  for (const FlowSpec& f : cfg.flows) {
-    if (f.variant == TcpVariant::kMuzha || f.variant == TcpVariant::kJersey) {
-      any_router_assisted = true;
-    }
-    if (f.variant == TcpVariant::kNewRenoEcn) any_ecn = true;
-  }
-  bool routers_on = cfg.muzha_routers == ExperimentConfig::Routers::kOn ||
-                    (cfg.muzha_routers == ExperimentConfig::Routers::kAuto &&
-                     any_router_assisted);
-  if (routers_on) {
-    net.enable_muzha_routers(cfg.drai);
-  } else if (any_ecn) {
-    net.enable_red_ecn_routers(cfg.red);
-  }
-
-  // Random loss.
-  if (cfg.uniform_error_rate > 0.0) {
-    net.set_error_model(std::make_unique<UniformErrorModel>(
-        Probability(cfg.uniform_error_rate)));
-  }
-
-  // Flows.
-  struct FlowInstance {
-    std::unique_ptr<TcpAgent> agent;
-    std::unique_ptr<TcpSink> sink;
-    CwndTracer cwnd;
-    std::unique_ptr<ThroughputSampler> sampler;
-  };
-  std::vector<FlowInstance> instances;
-  instances.reserve(cfg.flows.size());
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    const FlowSpec& f = cfg.flows[i];
-    MUZHA_ASSERT(f.src < net.size() && f.dst < net.size(),
-                 "flow endpoints out of range");
-    MUZHA_ASSERT(f.src != f.dst, "flow endpoints must differ");
-    FlowInstance inst;
-    TcpConfig tc;
-    tc.dst = net.node(f.dst).id();
-    tc.src_port = static_cast<std::uint16_t>(1000 + i);
-    tc.dst_port = static_cast<std::uint16_t>(2000 + i);
-    tc.flow = static_cast<FlowId>(i);
-    tc.packet_size = Bytes(kSegmentBytes);
-    tc.window = f.window;
-    inst.agent = make_tcp_agent(f.variant, net.sim(), net.node(f.src), tc);
-    if (auto* m = dynamic_cast<TcpMuzha*>(inst.agent.get())) {
-      m->set_loss_discrimination(cfg.muzha_loss_discrimination);
-    }
-
-    TcpSink::Config sc;
-    sc.port = tc.dst_port;
-    if (f.variant == TcpVariant::kAdtcp) {
-      // ADTCP is receiver-assisted: its sink measures and classifies.
-      inst.sink = std::make_unique<AdtcpSink>(net.sim(), net.node(f.dst), sc);
-    } else {
-      inst.sink = std::make_unique<TcpSink>(net.sim(), net.node(f.dst), sc);
-    }
-    inst.sink->start();
-    inst.sampler =
-        std::make_unique<ThroughputSampler>(cfg.throughput_bin, kPayloadBytes);
-    inst.sampler->attach(*inst.sink);
-
-    TcpAgent* agent = inst.agent.get();
-    net.sim().schedule_at(f.start_time, [agent] { agent->start(); });
-    instances.push_back(std::move(inst));
-    // Attach the tracer only once the instance has its final address (the
-    // vector was reserved above, so later pushes do not relocate it).
-    instances.back().cwnd.attach(*instances.back().agent);
-  }
-
-  // Background CBR load.
-  std::vector<std::unique_ptr<CbrApp>> cbr_apps;
-  cbr_apps.reserve(cfg.cbr_flows.size());
-  for (const CbrFlowSpec& c : cfg.cbr_flows) {
-    MUZHA_ASSERT(c.src < net.size() && c.dst < net.size(),
-                 "CBR endpoints out of range");
-    MUZHA_ASSERT(c.src != c.dst, "CBR endpoints must differ");
-    CbrApp::Config cc;
-    cc.dst = net.node(c.dst).id();
-    cc.packet_size_bytes = c.packet_size_bytes;
-    cc.rate = c.rate;
-    cc.start_time = c.start_time;
-    cbr_apps.push_back(
-        std::make_unique<CbrApp>(net.sim(), net.node(c.src), cc));
-    cbr_apps.back()->install();
-  }
-
-  net.run_until(cfg.duration);
-
-  // Collect.
-  ExperimentResult result;
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    const FlowSpec& f = cfg.flows[i];
-    FlowInstance& inst = instances[i];
-    FlowResult r;
-    r.variant = f.variant;
-    r.delivered = inst.sink->delivered();
-    r.duration = Seconds((cfg.duration - f.start_time).to_seconds());
-    r.throughput =
-        r.duration > Seconds(0.0)
-            ? Bits(static_cast<std::int64_t>(r.delivered) * kPayloadBytes * 8) /
-                  r.duration
-            : BitsPerSecond(0.0);
-    r.packets_sent = inst.agent->packets_sent();
-    r.retransmissions = inst.agent->retransmissions();
-    r.timeouts = inst.agent->timeouts();
-    r.cwnd_trace = inst.cwnd.series();
-    r.throughput_series = inst.sampler->series();
-    if (auto* m = dynamic_cast<TcpMuzha*>(inst.agent.get())) {
-      r.marked_loss_events = m->marked_loss_events();
-      r.unmarked_loss_events = m->unmarked_loss_events();
-    }
-    result.flows.push_back(std::move(r));
-  }
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    result.ifq_drops += net.node(i).device().queue().drops();
-    result.mac_retry_drops += net.node(i).device().mac().drops_retry_limit();
-    result.phy_collisions += net.node(i).device().phy().collisions();
-  }
-  result.channel_error_losses = net.channel().frames_corrupted_by_error();
-  for (const auto& app : cbr_apps) result.cbr_packets_sent += app->packets_sent();
-  return result;
+  std::unique_ptr<World> world = build_world(cfg, cfg.seed, NodePartition{}, 0);
+  world->net.run_until(cfg.duration);
+  return collect_result(cfg, {world.get()});
 }
 
 }  // namespace muzha

@@ -136,9 +136,6 @@ struct ExperimentConfig {
   int shards = 1;
   // Worker threads for the shard pool; 0 means one per shard.
   int shard_jobs = 0;
-  // Upper bound on the lookahead window; also the window used when every
-  // shard pair is farther apart than carrier-sense range (fully decoupled).
-  SimTime shard_max_epoch = SimTime::from_ms(10);
 };
 
 struct FlowResult {

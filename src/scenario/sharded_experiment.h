@@ -1,35 +1,42 @@
 // Conservative parallel execution of one experiment: spatial shards, one
 // event core per shard, synchronized by a lookahead barrier.
 //
-// The field is partitioned into `cfg.shards` slices along the x axis. Each
-// shard owns a disjoint subset of the nodes and runs them on a private
-// Simulator (scheduler + RNG) — a full per-shard Network — on a sticky
-// worker thread (sim/shard_exec.h). Time advances in globally agreed
-// windows [T, T+L): every shard executes its local events inside the
-// window, records each local transmission that could reach another shard's
-// territory (phy/channel.h BoundarySink), and stops. At the barrier the
-// orchestrator routes the recorded frames to their destination shards,
-// every shard injects its inbox in deterministic order, and the next window
-// opens.
+// This file owns only what is specific to sharding: the partition, the
+// lookahead, the window loop and the boundary exchange. Each shard's world
+// (network, mobility, routing, routers, flows, CBR) is assembled by the same
+// build_world() that run_experiment uses, and the result is read back by
+// the same collect_result() (scenario/world.h).
+//
+// Partition: the field is split into `cfg.shards` territories along the x
+// axis. Each shard owns a disjoint subset of the nodes, under their global
+// ids, and runs them on a private Simulator (scheduler + RNG) on a sticky
+// worker thread (sim/shard_exec.h). Territories are static: a mobile node's
+// random-waypoint rectangle is its district strip (FieldConfig::districts),
+// so node->shard ownership never changes and the gap between territories
+// never shrinks.
+//
+// Window loop: time advances in globally agreed windows [T, T+L). Every
+// shard executes its local events inside the window, records each local
+// transmission that could reach another shard's territory
+// (phy/channel.h BoundarySink), and stops. At the barrier the orchestrator
+// routes the recorded frames to their destination shards, every shard
+// injects its inbox in deterministic order, and the next window opens.
 //
 // Correctness rests on the conservative lookahead: L never exceeds the
 // propagation delay across the smallest gap between two coupled shards'
 // territories, so a frame transmitted anywhere in window [T, T+L) arrives
 // at a foreign shard no earlier than T+L — always in the receiver's future.
 // Channel::deliver MUZHA_DCHECKs exactly that (the causality invariant).
-// Territories are static: a mobile node's random-waypoint rectangle is its
-// district strip (FieldConfig::districts), so node->shard ownership never
-// changes and the gap between territories never shrinks.
 //
 // Determinism: every shard's event core is sequential and seeded; the only
 // cross-shard channel is the barrier exchange, and inboxes are injected in
 // (tx_time, src_shard, seq) order — a total order independent of thread
 // scheduling. Results are therefore bit-identical run-to-run and for every
-// `shard_jobs` value. shards == 1 runs the whole experiment through the
-// same window loop with the classic single-network build and is
-// bit-identical to run_experiment(); shards > 1 partitions the RNG into
-// per-shard streams, so it is a different — equally valid, equally pinned —
-// sample of the same scenario distribution.
+// `shard_jobs` value. shards == 1 builds the one world run_experiment would
+// build and differs from it only by the window loop, so it is bit-identical
+// to run_experiment(); shards > 1 partitions the RNG into per-shard
+// streams, so it is a different — equally valid, equally pinned — sample of
+// the same scenario distribution.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +96,10 @@ double shard_box_distance(Position p, const ShardBox& box);
 std::vector<double> shard_cuts(std::vector<double> xs, int shards,
                                Meters cell_size);
 
+// Upper bound on the lookahead window; also the window used when every
+// shard pair is farther apart than carrier-sense range (fully decoupled).
+inline constexpr SimTime kShardMaxEpoch = SimTime::from_ms(10);
+
 // The conservative window width: min over coupled shard pairs (gap at most
 // cs_range — only those ever exchange frames) of the propagation delay
 // across the pair's territory gap, floored at 1 ns; max_epoch when every
@@ -105,9 +116,9 @@ struct ShardDebugOptions {
   SimTime force_lookahead;  // 0 = use conservative_lookahead()
 };
 
-// Runs cfg on cfg.shards event cores (cfg.shards == 1 allowed: same window
-// machinery, classic single-network build, bit-identical to
-// run_experiment). Requirements for shards > 1:
+// Runs cfg on cfg.shards event cores (cfg.shards == 1 allowed: one world,
+// driven through the window loop, bit-identical to run_experiment).
+// Requirements for shards > 1:
 //  - topology kRandomField or kManhattanGrid;
 //  - mobile fields need field.districts >= shards (ownership stays static);
 //  - at least one node per shard.

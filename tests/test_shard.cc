@@ -5,15 +5,19 @@
 //
 //  1. Differential: the engine at shards == 1 must be BIT-IDENTICAL to the
 //     classic single-core run_experiment() — on the 200-node city golden
-//     pin and on randomized dense/sparse/mobile/manhattan fields. The
-//     window loop slices run_until() into lookahead epochs; slicing a
-//     sequential schedule cannot reorder it.
+//     pin and on chain, cross, static-routing and randomized dense/sparse/
+//     mobile/manhattan fields. Both paths assemble the world with the same
+//     build_world() and read it back with the same collect_result()
+//     (src/scenario/world.h), so what these tests check is the window loop
+//     alone: slicing run_until() into lookahead epochs must not reorder a
+//     sequential schedule.
 //
 //  2. Determinism: shards > 1 draws per-shard RNG streams (a different,
-//     equally valid sample), so it is pinned by its own golden hashes and
-//     must reproduce them run-to-run and for every shard_jobs value — the
-//     (tx_time, src_shard, seq) merge order is the only cross-shard channel
-//     and is independent of thread scheduling.
+//     equally valid sample), so it is pinned by its own golden hashes — the
+//     district city at K = 2 and K = 4 and the static-routed coupled
+//     clusters at K = 2 — and must reproduce them run-to-run and for every
+//     shard_jobs value. The (tx_time, src_shard, seq) merge order is the
+//     only cross-shard channel and is independent of thread scheduling.
 //
 //  3. Causality: the conservative lookahead keeps every boundary frame in
 //     the receiving shard's future. Channel::deliver MUZHA_DCHECKs the
@@ -180,7 +184,7 @@ TEST(ShardLookahead, MinimumOverCoupledPairsOnly) {
 // Differential: engine at shards == 1 vs the classic single-core path.
 // run_experiment() dispatches to the engine only when cfg.shards != 1, so
 // calling run_sharded_experiment() directly pits the window loop against
-// the plain run_until() on identical configs.
+// the plain run_until() on the same world.
 
 TEST(ShardK1Differential, CityGoldenPinReproducedThroughTheEngine) {
   ExperimentResult r = run_sharded_experiment(city_golden_config());
@@ -204,8 +208,8 @@ TEST(ShardK1Differential, ChainAndCrossTopologies) {
 }
 
 TEST(ShardK1Differential, StaticRoutingChain) {
-  // Covers the engine's global-BFS static-route rebuild (positions read
-  // back from the built network on the K == 1 path).
+  // Static routing on the only path through a chain: routes installed
+  // before the first window must survive the window loop unchanged.
   ExperimentConfig cfg;
   cfg.topology = TopologyKind::kChain;
   cfg.hops = 4;
@@ -224,11 +228,15 @@ TEST(ShardK1Differential, RandomizedFields) {
     double side;
     bool mobile;
     TopologyKind kind;
+    bool static_routing;
   };
   const FieldCase cases[] = {
-      {48, 1200.0, false, TopologyKind::kRandomField},   // dense static
-      {30, 2500.0, true, TopologyKind::kRandomField},    // sparse mobile
-      {36, 1400.0, true, TopologyKind::kManhattanGrid},  // manhattan mobile
+      {48, 1200.0, false, TopologyKind::kRandomField, false},  // dense static
+      {30, 2500.0, true, TopologyKind::kRandomField, false},   // sparse mobile
+      {36, 1400.0, true, TopologyKind::kManhattanGrid, false},  // manhattan
+      // Dense static field under static routing: the BFS runs on a graph
+      // with many equal-length paths, so its tie-breaking is exercised.
+      {48, 1200.0, false, TopologyKind::kRandomField, true},
   };
   const std::uint64_t seeds[] = {1, 23, 4242};
   for (const FieldCase& fc : cases) {
@@ -239,13 +247,16 @@ TEST(ShardK1Differential, RandomizedFields) {
       cfg.field.width = Meters(fc.side);
       cfg.field.height = Meters(fc.side);
       cfg.field.mobile = fc.mobile;
+      cfg.static_routing = fc.static_routing;
       cfg.duration = SimTime::from_seconds(3.0);
       cfg.seed = seed;
       cfg.flows = make_random_flows(2, fc.nodes, TcpVariant::kMuzha,
                                     seed * 31 + 7, SimTime::from_seconds(1.0));
       SCOPED_TRACE(::testing::Message()
                    << "nodes=" << fc.nodes << " side=" << fc.side
-                   << " mobile=" << fc.mobile << " seed=" << seed);
+                   << " mobile=" << fc.mobile
+                   << " static_routing=" << fc.static_routing
+                   << " seed=" << seed);
       expect_results_identical(run_experiment(cfg),
                                run_sharded_experiment(cfg));
     }
@@ -351,6 +362,22 @@ ExperimentConfig coupled_clusters(std::uint64_t seed, double gap_m,
                                          seed ^ 0xF10Eull,
                                          SimTime::from_ms(1));
   return cfg;
+}
+
+// Golden hash of coupled_clusters(3, 300 m, 60 ms) at shards == 2: the only
+// pinned sharded run with static routing, so it freezes the global-BFS route
+// tables that each shard installs for its own nodes, plus boundary traffic
+// between coupled shards.
+constexpr std::uint64_t kGoldenCoupledStaticShards2 = 0xC6EFF001A1F06561ull;
+
+TEST(ShardDeterminism, GoldenCoupledStaticShards2Pinned) {
+  ExperimentConfig cfg = coupled_clusters(3, 300.0, SimTime::from_ms(60));
+  cfg.shards = 2;
+  ExperimentResult r = run_experiment(cfg);
+  std::int64_t delivered = 0;
+  for (const FlowResult& f : r.flows) delivered += f.delivered;
+  EXPECT_GT(delivered, 0);
+  EXPECT_EQ(hash_result(r), kGoldenCoupledStaticShards2);
 }
 
 TEST(ShardCausality, RandomBoundaryTrafficHoldsTheInvariant) {
