@@ -50,8 +50,7 @@ inline int district_of(const FieldConfig& f, std::size_t i) {
 // as a pure function of (kind, field, rng): one Position per node, drawn in
 // node order. The builders are thin wrappers over this, so a caller with a
 // fresh Rng(seed) recovers the exact coordinates a Network built from the
-// same seed will have — the sharded-run partitioner uses that to assign
-// nodes to shards before any per-shard network exists.
+// same seed will have, before any network exists.
 std::vector<Position> field_positions(TopologyKind kind, const FieldConfig& f,
                                       Rng& rng);
 
@@ -71,9 +70,8 @@ std::vector<CbrFlowSpec> make_random_cbr_flows(int count, int nodes,
 
 // FTP flows whose endpoints are confined to one district: flow j runs inside
 // district j % districts, between distinct random members of that district.
-// With districts separated by more than carrier-sense range this yields a
-// field whose shards never exchange a single frame — the scaling case the
-// sharded runner is built for. Deterministic in (count, field, flow_seed).
+// With districts separated by more than carrier-sense range, no frame ever
+// crosses between districts. Deterministic in (count, field, flow_seed).
 std::vector<FlowSpec> make_random_district_flows(int count,
                                                  const FieldConfig& f,
                                                  TcpVariant v,

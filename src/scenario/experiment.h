@@ -4,7 +4,9 @@
 // advertised window `window_`) and a duration; run_experiment() builds the
 // whole stack, runs it, and returns per-flow throughput, retransmissions,
 // CWND traces and throughput-dynamics series. Every bench and example is a
-// thin wrapper over this.
+// thin wrapper over this. A config the builders cannot honour (bad hop
+// count, window, duration, loss rate or flow endpoints) fails a MUZHA_ASSERT
+// naming the field before anything is built.
 #pragma once
 
 #include <memory>
@@ -85,10 +87,9 @@ struct FieldConfig {
   // equal width separated by `district_gap` of empty ground (the overall
   // `width` includes the gaps). Node i belongs to district i % districts;
   // placement AND random-waypoint motion are confined to the node's strip,
-  // so district membership is invariant over the whole run — which is what
-  // lets a sharded run cut the field along the gaps and keep node->shard
-  // ownership static. districts == 1 is the classic single-rectangle field
-  // and draws the exact same RNG sequence as before the knob existed.
+  // so district membership is invariant over the whole run. districts == 1
+  // is the classic single-rectangle field and draws the exact same RNG
+  // sequence as before the knob existed.
   int districts = 1;
   Meters district_gap = Meters(1100.0);
 };
@@ -127,15 +128,11 @@ struct ExperimentConfig {
   // AODV by default (Table 5.1); static routing isolates transport effects.
   bool static_routing = false;
   SimTime throughput_bin = SimTime::from_seconds(1.0);
-  // Conservative parallel execution (src/scenario/sharded_experiment.h):
-  // partition the field into `shards` spatial slices, one event core per
-  // shard, synchronized by a lookahead barrier. shards == 1 runs the classic
-  // single-core path. shards > 1 is deterministic run-to-run and across
-  // `shard_jobs` values, but draws per-shard RNG streams, so its results are
-  // a different (equally valid) sample than shards == 1.
+  // Must be 1: one experiment runs on one event core (sweeps use every core
+  // through BatchRunner). Left over from the removed sharded engine; it
+  // stays only because perfbench/perfbench.cc still assigns it, and goes
+  // with the next change to the benchmark.
   int shards = 1;
-  // Worker threads for the shard pool; 0 means one per shard.
-  int shard_jobs = 0;
 };
 
 struct FlowResult {

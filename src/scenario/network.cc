@@ -21,13 +21,8 @@ Network::Network(std::uint64_t seed, PhyParams phy, NodeConfig node_cfg,
     : sim_(seed), channel_(sim_, phy, channel_mode), node_cfg_(node_cfg) {}
 
 Node& Network::add_node(Position pos) {
-  return add_node(pos, static_cast<NodeId>(nodes_.size()));
-}
-
-Node& Network::add_node(Position pos, NodeId id) {
-  MUZHA_ASSERT(nodes_.empty() || nodes_.back()->id() < id,
-               "node ids must be added in increasing order");
-  nodes_.push_back(std::make_unique<Node>(sim_, channel_, id, pos, node_cfg_));
+  nodes_.push_back(std::make_unique<Node>(
+      sim_, channel_, static_cast<NodeId>(nodes_.size()), pos, node_cfg_));
   return *nodes_.back();
 }
 

@@ -33,13 +33,8 @@ class Network {
   Simulator& sim() { return sim_; }
   Channel& channel() { return channel_; }
 
+  // Adds a node whose id is its index.
   Node& add_node(Position pos);
-  // Adds a node with an explicit id. Used by sharded runs, where each shard's
-  // network hosts a SUBSET of the global node set but ids must stay globally
-  // unique (frames cross shards carrying NodeId addresses). Within one
-  // network, ids must still be distinct and added in increasing order so the
-  // local index -> id mapping stays monotonic.
-  Node& add_node(Position pos, NodeId id);
   Node& node(std::size_t i) { return *nodes_[i]; }
   std::size_t size() const { return nodes_.size(); }
 

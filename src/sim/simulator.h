@@ -21,7 +21,6 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return scheduler_.now(); }
-  SimTime next_event_time() const { return scheduler_.next_event_time(); }
   Scheduler& scheduler() { return scheduler_; }
   Rng& rng() { return rng_; }
   Logger& logger() { return logger_; }

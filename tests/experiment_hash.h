@@ -1,10 +1,7 @@
-// FNV-1a hashing of ExperimentResult plus the city-scale golden scenario,
-// shared by the determinism and shard suites. The golden constants pinned
-// against hash_result() freeze the full pipeline (placement RNG, waypoint
-// draws, build order, event interleaving, AODV churn) in one number.
-// run_experiment() and the sharded engine assemble and collect through the
-// same build_world()/collect_result() (src/scenario/world.h), so one hash
-// pins both at shards == 1; the helpers live here so every suite hashes
+// FNV-1a hashing of ExperimentResult plus the city-scale golden scenario.
+// The golden constants pinned against hash_result() freeze the full
+// pipeline (placement RNG, waypoint draws, build order, event interleaving,
+// AODV churn) in one number; the helpers live here so every suite hashes
 // identically.
 #pragma once
 
@@ -59,9 +56,7 @@ inline std::uint64_t hash_result(const ExperimentResult& r) {
 }
 
 // The 200-node mobile random-waypoint city of the golden pin
-// Determinism.GoldenCityFieldPinned (hash 0x87CCB22252A3ED43). The shard
-// suite replays it through the sharded engine's window loop at
-// shards == 1, which must reproduce the same hash bit-for-bit.
+// Determinism.GoldenCityFieldPinned (hash 0x87CCB22252A3ED43).
 inline ExperimentConfig city_golden_config() {
   CityConfig city;
   city.field.nodes = 200;

@@ -109,9 +109,7 @@ TEST(Determinism, InterleavedDifferentConfigsDoNotContaminate) {
 // same floating-point metric stream. If an intentional protocol change
 // shifts them, re-capture and update the constants in the same commit.
 
-// fnv1a_u64 / hash_series / hash_result now live in
-// tests/experiment_hash.h, shared with the shard suite (test_shard.cc),
-// which must reproduce the same hashes through the sharded engine.
+// fnv1a_u64 / hash_series / hash_result live in tests/experiment_hash.h.
 
 TEST(Determinism, GoldenThreeHopMuzhaChainPinned) {
   ExperimentConfig cfg;
@@ -188,6 +186,58 @@ TEST(Determinism, GoldenCityFieldIdenticalUnderBruteForceChannel) {
   cfg.brute_force_channel = true;
   ExperimentResult brute = run_experiment(cfg);
   expect_results_identical(indexed, brute);
+}
+
+// Dense static field under static routing, over three seeds folded into
+// one hash: 48 nodes in 1200 m x 1200 m give the BFS many equal-length
+// paths, so this pins its tie-breaking (destination-major route order,
+// first-discovered predecessor wins). Captured before the sharded engine
+// was removed.
+TEST(Determinism, GoldenStaticRoutedDenseFieldPinned) {
+  std::uint64_t h = 14695981039346656037ull;
+  std::int64_t delivered = 0;
+  for (std::uint64_t seed : {1ull, 23ull, 4242ull}) {
+    ExperimentConfig cfg;
+    cfg.topology = TopologyKind::kRandomField;
+    cfg.field.nodes = 48;
+    cfg.field.width = Meters(1200.0);
+    cfg.field.height = Meters(1200.0);
+    cfg.field.mobile = false;
+    cfg.static_routing = true;
+    cfg.duration = SimTime::from_seconds(3.0);
+    cfg.seed = seed;
+    cfg.flows = make_random_flows(2, cfg.field.nodes, TcpVariant::kMuzha,
+                                  seed * 31 + 7, SimTime::from_seconds(1.0));
+    ExperimentResult r = run_experiment(cfg);
+    for (const FlowResult& f : r.flows) delivered += f.delivered;
+    h = fnv1a_u64(h, hash_result(r));
+  }
+  EXPECT_GT(delivered, 0);  // the pin must freeze real traffic, not silence
+  EXPECT_EQ(h, 0x15D71EB2A3D4B72Eull);
+}
+
+// Four mobile districts, 1000 m strips 1100 m apart (beyond carrier-sense
+// range), one Muzha flow per district: pins district-confined placement and
+// random-waypoint motion (FieldConfig::districts > 1). Captured before the
+// sharded engine was removed.
+TEST(Determinism, GoldenDistrictCityPinned) {
+  ExperimentConfig cfg;
+  cfg.topology = TopologyKind::kRandomField;
+  cfg.field.nodes = 120;
+  cfg.field.districts = 4;
+  cfg.field.district_gap = Meters(1100.0);
+  cfg.field.width = Meters(4 * 1000.0 + 3 * 1100.0);
+  cfg.field.height = Meters(1000.0);
+  cfg.field.mobile = true;
+  cfg.duration = SimTime::from_seconds(3.0);
+  cfg.seed = 42;
+  cfg.flows = make_random_district_flows(4, cfg.field, TcpVariant::kMuzha, 7,
+                                         SimTime::from_seconds(1.0));
+  ExperimentResult r = run_experiment(cfg);
+  std::int64_t delivered = 0;
+  for (const FlowResult& f : r.flows) delivered += f.delivered;
+  EXPECT_GT(delivered, 0);
+  EXPECT_EQ(hash_result(r), 0xEA852C6DB16233EBull);
 }
 
 TEST(Determinism, CityBatchIsJobsInvariant) {

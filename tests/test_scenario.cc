@@ -2,6 +2,8 @@
 // the Table 5.1 simulation parameters.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "scenario/experiment.h"
 #include "scenario/network.h"
 
@@ -154,6 +156,62 @@ TEST(ExperimentApiDeath, RejectsOutOfRangeEndpoints) {
   cfg.hops = 2;
   cfg.flows.push_back({TcpVariant::kNewReno, 0, 99, SimTime::zero(), 8});
   EXPECT_DEATH(run_experiment(cfg), "out of range");
+}
+
+// run_experiment checks the whole config at entry, before any world is
+// built, and names the offending field. One row per rejected field.
+TEST(ExperimentApiDeath, RejectsBadConfigNamingTheField) {
+  struct Row {
+    const char* what;
+    void (*spoil)(ExperimentConfig&);
+    const char* message;
+  };
+  const Row rows[] = {
+      {"shards", [](ExperimentConfig& c) { c.shards = 2; },
+       "ExperimentConfig::shards"},
+      {"chain hops", [](ExperimentConfig& c) { c.hops = 0; },
+       "ExperimentConfig::hops"},
+      {"odd cross hops",
+       [](ExperimentConfig& c) {
+         c.topology = TopologyKind::kCross;
+         c.hops = 3;
+       },
+       "ExperimentConfig::hops must be even"},
+      {"window", [](ExperimentConfig& c) { c.flows[0].window = 0; },
+       "FlowSpec::window"},
+      {"duration",
+       [](ExperimentConfig& c) { c.duration = SimTime::from_seconds(-1.0); },
+       "ExperimentConfig::duration"},
+      {"error rate NaN",
+       [](ExperimentConfig& c) {
+         c.uniform_error_rate = std::numeric_limits<double>::quiet_NaN();
+       },
+       "ExperimentConfig::uniform_error_rate"},
+      {"error rate > 1", [](ExperimentConfig& c) { c.uniform_error_rate = 1.5; },
+       "ExperimentConfig::uniform_error_rate"},
+      {"flow endpoint range", [](ExperimentConfig& c) { c.flows[0].dst = 5; },
+       "FlowSpec::src/dst: flow endpoints out of range"},
+      {"flow endpoints equal", [](ExperimentConfig& c) { c.flows[0].dst = 0; },
+       "FlowSpec::src/dst: flow endpoints must differ"},
+      {"CBR endpoint range",
+       [](ExperimentConfig& c) {
+         c.cbr_flows.emplace_back();
+         c.cbr_flows[0].dst = 7;
+       },
+       "CbrFlowSpec::src/dst: CBR endpoints out of range"},
+      {"CBR endpoints equal",
+       [](ExperimentConfig& c) { c.cbr_flows.emplace_back(); },
+       "CbrFlowSpec::src/dst: CBR endpoints must differ"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    ExperimentConfig cfg;
+    cfg.hops = 4;  // 5 nodes
+    cfg.duration = SimTime::from_seconds(1.0);
+    cfg.flows.push_back({TcpVariant::kNewReno, 0, 4, SimTime::zero(), 8});
+    row.spoil(cfg);
+    EXPECT_DEATH(run_experiment(cfg), row.message);
+  }
 }
 
 TEST(NetworkApi, StaticRoutingAccessorChecksType) {

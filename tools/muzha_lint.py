@@ -512,8 +512,8 @@ def collect_polymorphic(all_classes: list[ClassInfo]) -> set[str]:
 def collect_boundary_adjacent(all_classes: list[ClassInfo]) -> set[str]:
     """Types whose instances cross shard threads at the lookahead barrier.
 
-    Seeds: every class whose name contains 'Boundary' (BoundaryMessage,
-    BoundarySink, ...). Closure: the declared type of any BY-VALUE member
+    Seeds: every class whose name contains 'Boundary' (a cross-shard
+    message, its observer interface, ...). Closure: the declared type of any BY-VALUE member
     field of an adjacent class is adjacent (it is copied across with the
     message — pointer/reference members do not propagate: they are the
     hazard this rule flags, not a copy), and every subclass of an adjacent
