@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "scenario/city.h"
 #include "scenario/experiment.h"
 #include "scenario/network.h"
 
@@ -212,6 +213,32 @@ TEST(ExperimentApiDeath, RejectsBadConfigNamingTheField) {
     row.spoil(cfg);
     EXPECT_DEATH(run_experiment(cfg), row.message);
   }
+}
+
+// A sharded run is rejected whatever the topology: a chain, and a mobile
+// district city with fewer districts than the shards asked for.
+TEST(ShardGuardDeath, RejectsShardedChainTopology) {
+  ExperimentConfig cfg;
+  cfg.topology = TopologyKind::kChain;
+  cfg.flows.push_back({TcpVariant::kNewReno, 0, 4, SimTime::zero(), 8});
+  cfg.shards = 2;
+  EXPECT_DEATH(run_experiment(cfg), "ExperimentConfig::shards must be 1");
+}
+
+TEST(ShardGuardDeath, RejectsMobileFieldWithFewerDistrictsThanShards) {
+  ExperimentConfig cfg;
+  cfg.topology = TopologyKind::kRandomField;
+  cfg.field.nodes = 120;
+  cfg.field.districts = 4;
+  cfg.field.district_gap = Meters(1100.0);
+  cfg.field.width = Meters(4 * 1000.0 + 3 * 1100.0);
+  cfg.field.height = Meters(1000.0);
+  cfg.field.mobile = true;
+  cfg.duration = SimTime::from_seconds(1.0);
+  cfg.flows = make_random_district_flows(4, cfg.field, TcpVariant::kMuzha, 7,
+                                         SimTime::zero());
+  cfg.shards = 8;
+  EXPECT_DEATH(run_experiment(cfg), "ExperimentConfig::shards must be 1");
 }
 
 TEST(NetworkApi, StaticRoutingAccessorChecksType) {
