@@ -16,8 +16,6 @@ namespace {
 void print_trace(const char* label, const muzha::TimeSeries& trace,
                  muzha::Seconds t_end, muzha::Seconds step) {
   std::printf("%s t_s:", label);
-  muzha::CwndTracer stepper;  // reuse step interpolation via a local copy
-  (void)stepper;
   // Step-interpolate the change-event series onto a regular grid.
   std::size_t idx = 0;
   double v = 0.0;

@@ -134,9 +134,31 @@ void check_config(const ExperimentConfig& cfg) {
     MUZHA_ASSERT(cfg.hops >= 1, "ExperimentConfig::hops must be at least 1");
     MUZHA_ASSERT(cfg.topology != TopologyKind::kCross || cfg.hops % 2 == 0,
                  "ExperimentConfig::hops must be even for a cross");
+  } else {
+    const FieldConfig& f = cfg.field;
+    MUZHA_ASSERT(f.nodes >= 2, "FieldConfig::nodes must be at least 2");
+    MUZHA_ASSERT(f.districts >= 1, "FieldConfig::districts must be at least 1");
+    // district_rect()'s strip width; the test is false for NaN too.
+    const double strip = (f.width.value() - static_cast<double>(f.districts - 1) *
+                                                f.district_gap.value()) /
+                         static_cast<double>(f.districts);
+    MUZHA_ASSERT(strip > 0.0,
+                 "FieldConfig::width/district_gap: district strips must have "
+                 "positive width");
+    if (f.mobile) {
+      MUZHA_ASSERT(f.mobility_tick > SimTime::zero(),
+                   "FieldConfig::mobility_tick must be positive");
+      MUZHA_ASSERT(f.max_speed >= f.min_speed,
+                   "FieldConfig::max_speed must be at least min_speed");
+    }
+    MUZHA_ASSERT(cfg.topology != TopologyKind::kManhattanGrid ||
+                     f.street_pitch > Meters(0.0),
+                 "FieldConfig::street_pitch must be positive");
   }
   MUZHA_ASSERT(cfg.duration > SimTime::zero(),
                "ExperimentConfig::duration must be positive");
+  MUZHA_ASSERT(cfg.throughput_bin > SimTime::zero(),
+               "ExperimentConfig::throughput_bin must be positive");
   // The range test is false for NaN and both infinities too.
   MUZHA_ASSERT(cfg.uniform_error_rate >= 0.0 && cfg.uniform_error_rate <= 1.0,
                "ExperimentConfig::uniform_error_rate must be finite and in "
@@ -155,6 +177,9 @@ void check_config(const ExperimentConfig& cfg) {
                  "CbrFlowSpec::src/dst: CBR endpoints out of range");
     MUZHA_ASSERT(c.src != c.dst,
                  "CbrFlowSpec::src/dst: CBR endpoints must differ");
+    MUZHA_ASSERT(c.rate > BitsPerSecond(0.0), "CbrFlowSpec::rate must be positive");
+    MUZHA_ASSERT(c.packet_size_bytes > 0,
+                 "CbrFlowSpec::packet_size_bytes must be positive");
   }
 }
 

@@ -65,11 +65,6 @@ void Network::enable_red_ecn_routers(RedParams params) {
   }
 }
 
-BandwidthEstimator* Network::estimator(std::size_t i) {
-  if (i >= drai_sources_.size()) return nullptr;
-  return dynamic_cast<BandwidthEstimator*>(drai_sources_[i].get());
-}
-
 std::vector<NodeId> build_chain(Network& net, int hops, Meters spacing) {
   MUZHA_ASSERT(hops >= 1, "chain needs at least one hop");
   std::vector<NodeId> ids;

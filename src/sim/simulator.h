@@ -1,4 +1,4 @@
-// Simulator context: owns the scheduler, RNG and logger.
+// Simulator context: owns the scheduler and RNG.
 //
 // There is deliberately no global simulator instance; every component takes a
 // Simulator& so multiple independent simulations can coexist in one process
@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/sim_time.h"
@@ -23,7 +22,6 @@ class Simulator {
   SimTime now() const { return scheduler_.now(); }
   Scheduler& scheduler() { return scheduler_; }
   Rng& rng() { return rng_; }
-  Logger& logger() { return logger_; }
 
   template <typename F>
   EventId schedule_at(SimTime t, F&& cb) {
@@ -42,7 +40,6 @@ class Simulator {
  private:
   Scheduler scheduler_;
   Rng rng_;
-  Logger logger_;
 };
 
 }  // namespace muzha

@@ -10,14 +10,14 @@ int lazy() {
   return a;
 }
 
-// The shard-safety family goes through the same meta checks: a suppression
-// of a shard rule with no justification, a misspelled shard rule id, and a
-// justified shard suppression with nothing to suppress (this file is not
+// The worker-thread family goes through the same meta checks: a suppression
+// of a thread rule with no justification, a misspelled thread rule id, and
+// a justified thread suppression with nothing to suppress (this file is not
 // model code, so the static below never fires mutable-static).
-int shard_lazy() {
+int thread_lazy() {
   // muzha-lint: allow(mutable-static) -- expect: bad-suppression
   static int calls = 0;
-  // muzha-lint: allow(shard-unsafe): no such rule family member -- expect: unknown-rule
+  // muzha-lint: allow(thread-unsafe): no such rule family member -- expect: unknown-rule
   // muzha-lint: allow(lock-discipline): no primitive on the next line -- expect: unused-suppression
   return ++calls;
 }

@@ -1,5 +1,5 @@
 // Fixture: relaxed-atomic fires on weak memory orderings and raw fences
-// outside src/sim/shard_exec.* — this file classifies as src/core/. The
+// wherever they appear — this file classifies as src/core/. The
 // atomic vocabulary itself also violates lock-discipline here, so those
 // lines carry both expectations.
 #include <atomic>  // expect: lock-discipline

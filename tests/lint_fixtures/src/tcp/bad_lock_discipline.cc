@@ -1,8 +1,8 @@
 // Fixture: lock-discipline fires on synchronization primitives (and the
 // headers that smuggle them in) inside src/ but outside the threaded-runtime
 // allowlist — this file classifies as src/tcp/, which must be lock-free by
-// shard isolation. The allowlisted spellings live in the companion fixture
-// src/sim/shard_exec.cc.
+// worker isolation. The allowlisted spellings live in the companion fixture
+// src/scenario/batch_runner.cc.
 #include <mutex>   // expect: lock-discipline
 #include <atomic>  // expect: lock-discipline
 #include <thread>  // expect: lock-discipline

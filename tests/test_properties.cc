@@ -9,12 +9,16 @@
 namespace muzha {
 namespace {
 
+// No padding bytes: gtest prints the parameter byte-wise into each ctest
+// name, and padding would print whatever the stack held, so `window` is
+// 64-bit to fill the slot before `seed`.
 struct SweepParam {
   TcpVariant variant;
   int hops;
-  int window;
+  std::int64_t window;
   std::uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 24, "SweepParam must have no padding");
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   const SweepParam& p = info.param;
@@ -35,7 +39,7 @@ TEST_P(SingleFlowSweep, TransportInvariantsHold) {
   cfg.seed = p.seed;
   cfg.flows.push_back(
       {p.variant, 0, static_cast<std::size_t>(p.hops), SimTime::zero(),
-       p.window});
+       static_cast<int>(p.window)});
   auto res = run_experiment(cfg);
   const FlowResult& f = res.flows[0];
 

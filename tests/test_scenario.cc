@@ -203,6 +203,57 @@ TEST(ExperimentApiDeath, RejectsBadConfigNamingTheField) {
       {"CBR endpoints equal",
        [](ExperimentConfig& c) { c.cbr_flows.emplace_back(); },
        "CbrFlowSpec::src/dst: CBR endpoints must differ"},
+      {"CBR rate",
+       [](ExperimentConfig& c) {
+         c.cbr_flows.push_back({0, 1, BitsPerSecond(0.0), 512, SimTime::zero()});
+       },
+       "CbrFlowSpec::rate"},
+      {"CBR packet size",
+       [](ExperimentConfig& c) {
+         c.cbr_flows.push_back({0, 1, BitsPerSecond(1e5), 0, SimTime::zero()});
+       },
+       "CbrFlowSpec::packet_size_bytes"},
+      {"throughput bin",
+       [](ExperimentConfig& c) { c.throughput_bin = SimTime::zero(); },
+       "ExperimentConfig::throughput_bin"},
+      {"field nodes",
+       [](ExperimentConfig& c) {
+         c.topology = TopologyKind::kRandomField;
+         c.field.nodes = 1;
+       },
+       "FieldConfig::nodes"},
+      {"districts",
+       [](ExperimentConfig& c) {
+         c.topology = TopologyKind::kRandomField;
+         c.field.districts = 0;
+       },
+       "FieldConfig::districts"},
+      {"district strip",
+       [](ExperimentConfig& c) {
+         c.topology = TopologyKind::kRandomField;
+         c.field.districts = 4;
+         c.field.width = Meters(3 * 1100.0);
+       },
+       "FieldConfig::width/district_gap"},
+      {"mobility tick",
+       [](ExperimentConfig& c) {
+         c.topology = TopologyKind::kRandomField;
+         c.field.mobility_tick = SimTime::zero();
+       },
+       "FieldConfig::mobility_tick"},
+      {"speed range",
+       [](ExperimentConfig& c) {
+         c.topology = TopologyKind::kRandomField;
+         c.field.min_speed = MetersPerSecond(5.0);
+         c.field.max_speed = MetersPerSecond(1.0);
+       },
+       "FieldConfig::max_speed"},
+      {"street pitch",
+       [](ExperimentConfig& c) {
+         c.topology = TopologyKind::kManhattanGrid;
+         c.field.street_pitch = Meters(0.0);
+       },
+       "FieldConfig::street_pitch"},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.what);

@@ -3,8 +3,7 @@
 
 Fixtures: each immediate subdirectory of tests/deps_fixtures/ is a
 self-contained mini-repository (own layers.toml + src/<layer>/ tree). The
-driver runs muzha_deps.analyze() over every tree with no baseline — every
-finding gates — and diffs the actual (tree, file, line, rule) triples against
+driver runs muzha_deps.analyze() over every tree and diffs the actual (tree, file, line, rule) triples against
 `expect: <rule-id>` markers on the exact line the analyzer must report.
 Missed findings and unexpected extras both fail, and EVERY rule id in the
 analyzer's RULES table (meta rules included) must be pinned by at least one
@@ -17,13 +16,16 @@ directory before the include roots), comment / raw-string stripping (an
 `#include` spelled there is never an edge), the C++14 digit-separator lexer
 state (100'000 must not open a char literal and blank the rest of the file),
 conditional includes as part of the union graph, canonicalize()/layer_of(),
-manifest DAG validation, and the baseline round-trip.
+manifest DAG validation, and the exit codes of main() on a violating and a
+clean tree.
 
 Run directly (repo root is inferred) or via `ctest -R muzha_deps_fixtures`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
 import sys
@@ -196,19 +198,18 @@ def test_manifest_rejects_non_dag() -> bool:
     return _fail("manifest_dag", "upward edge accepted")
 
 
-def test_baseline_round_trip() -> bool:
-    keys = {("src/a.h", "unused-include", "sim/x.h"),
-            ("src/b.cc", "layer-violation", "tcp/y.h")}
-    with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as f:
-        path = f.name
-    try:
-        muzha_deps.write_baseline(path, keys)
-        if muzha_deps.load_baseline(path) != keys:
-            return _fail("baseline_round_trip", "load != write")
-    finally:
-        os.unlink(path)
-    if muzha_deps.load_baseline(path + ".missing"):
-        return _fail("baseline_round_trip", "missing file not empty")
+def test_main_exit_codes(root: str) -> bool:
+    """Any finding fails the run (exit 1); a clean tree exits 0."""
+    for tree, want in (("layering", 1), ("clean", 0)):
+        tree_root = os.path.join(root, FIXTURE_DIR, tree)
+        argv = ["--root", tree_root,
+                "--manifest", os.path.join(tree_root, "layers.toml")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            got = muzha_deps.main(argv)
+        if got != want:
+            return _fail("main_exit_codes",
+                         f"{tree}: exit {got}, want {want}\n{out.getvalue()}")
     return True
 
 
@@ -220,10 +221,10 @@ def check_units(root: str) -> bool:
     ok = test_conditional_include_is_an_edge(root) and ok
     ok = test_canonicalize_and_layer_of() and ok
     ok = test_manifest_rejects_non_dag() and ok
-    ok = test_baseline_round_trip() and ok
+    ok = test_main_exit_codes(root) and ok
     if ok:
         print("muzha-deps units OK: resolver, lexer, manifest and "
-              "baseline edge cases pass")
+              "exit-code cases pass")
     return ok
 
 

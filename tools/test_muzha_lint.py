@@ -2,7 +2,7 @@
 """Golden-fixture and catalog-sync suite for muzha-lint.
 
 Fixtures: each file under tests/lint_fixtures/ (recursively — subdirectories
-mirror repo paths so the path-scoped shard-safety rules and their allowlists
+mirror repo paths so the path-scoped worker-thread rules and their allowlists
 can be exercised, e.g. tests/lint_fixtures/src/mac/x.cc classifies as model
 code) marks every expected finding with an `expect: <rule-id>` comment on the
 exact line the linter must report (class-level findings carry the marker on
@@ -17,8 +17,8 @@ fails immediately.
 Catalog sync: the rule catalog exists in three places — the RULES table (the
 one source of truth), the muzha_lint.py module docstring, and the DESIGN.md
 "Correctness tooling" table. This suite verifies both prose catalogs against
-the table, so a rule can no longer be added or renamed in one place only
-(the historical "10 rules" vs "13 listed" drift).
+the table, so a rule can no longer be added, renamed or removed in one place
+only (the historical "10 rules" vs "13 listed" drift).
 
 Run directly (repo root is inferred) or via `ctest -R muzha_lint_fixtures`.
 """
@@ -35,6 +35,7 @@ import muzha_lint  # noqa: E402
 FIXTURE_DIR = os.path.join("tests", "lint_fixtures")
 MARKER_RE = re.compile(r"expect:\s*([\w-]+(?:\s*,\s*[\w-]+)*)")
 DESIGN_RULE_ROW_RE = re.compile(r"^\|\s*`([\w-]+)`\s*\|")
+DESIGN_TABLE_HEAD = "| Rule | Bans |"
 
 
 def expected_findings(root: str) -> set[tuple[str, int, str]]:
@@ -100,10 +101,16 @@ def check_catalog_sync(root: str) -> bool:
     design_path = os.path.join(root, "DESIGN.md")
     with open(design_path, encoding="utf-8") as f:
         design = f.read()
-    design_rules = {m.group(1) for m in
-                    (DESIGN_RULE_ROW_RE.match(line)
-                     for line in design.splitlines())
-                    if m and m.group(1) in muzha_lint.RULES}
+    # Every row of the muzha-lint table counts, so a row left behind by a
+    # removed rule is drift too.
+    lines = design.splitlines()
+    design_rules: set[str] = set()
+    if DESIGN_TABLE_HEAD in lines:
+        for line in lines[lines.index(DESIGN_TABLE_HEAD) + 2:]:
+            m = DESIGN_RULE_ROW_RE.match(line)
+            if m is None:
+                break
+            design_rules.add(m.group(1))
     for rule in sorted(suppressible - design_rules):
         print(f"CATALOG DESIGN.md rule table is missing `{rule}`")
         ok = False
